@@ -36,10 +36,7 @@ from the context subdatabase.
 
 from __future__ import annotations
 
-import time
-import weakref
 from array import array
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -62,11 +59,10 @@ from repro.oql.ast import (
 )
 from repro.model.interning import InternTable
 from repro.oql import kernels
-from repro.oql import parallel
 from repro.oql.cache import (DEFAULT_CACHE_BYTES, ResultCache, clone_result,
                              dependency_classes, fingerprint, result_nbytes)
 from repro.oql.planner import OPTIMIZE_MODES, JoinPlan, Planner
-from repro.subdb import attrindex, planes
+from repro.subdb import attrindex
 from repro.subdb.intension import Edge, IntensionalPattern
 from repro.subdb.pattern import ExtensionalPattern, subsume, subsume_rows
 from repro.subdb.refs import ClassRef
@@ -120,15 +116,6 @@ class EvaluationMetrics:
     patterns_out: int = 0
     #: Loop levels materialized (0 for non-loop evaluations).
     loop_levels: int = 0
-    #: Workers actually used (1 = sequential execution).
-    workers_used: int = 1
-    #: How partitioned work ran: ``"serial"`` when nothing was
-    #: partitioned, else ``"thread"`` or ``"process"``.
-    worker_mode: str = "serial"
-    #: Per-partition records of parallel plan executions: dicts with
-    #: ``partition``, ``anchor_rows``, ``rows_out``, ``ms``, ``mode``
-    #: (and ``cpu_ms``/``pid`` for process partitions).
-    partitions: List[dict] = field(default_factory=list)
     #: Which budget limit tripped ("none" when the evaluation finished
     #: inside its budget, or ran without one).
     budget_verdict: str = "none"
@@ -167,8 +154,6 @@ class EvaluationMetrics:
             "patterns_subsumed": self.patterns_subsumed,
             "patterns_out": self.patterns_out,
             "loop_levels": self.loop_levels,
-            "workers_used": self.workers_used,
-            "worker_mode": self.worker_mode,
             "budget_verdict": self.budget_verdict,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -232,40 +217,11 @@ class PatternEvaluator:
                  max_depth: int = 1000,
                  optimize: Union[bool, str] = "cost",
                  compact: bool = True,
-                 workers: int = 1,
-                 worker_mode: str = "thread",
-                 min_parallel_rows: int = 256,
                  cache_bytes: int = 0,
                  auto_index_min_rows: int = 0):
         if on_cycle not in ("error", "stop"):
             raise ValueError("on_cycle must be 'error' or 'stop'")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if worker_mode not in ("thread", "process"):
-            raise ValueError("worker_mode must be 'thread' or 'process'")
         self.universe = universe
-        #: Partition-parallel plan execution: when > 1, the anchor
-        #: extent of a compact plan splits into up to ``workers``
-        #: contiguous ranges of interned ids evaluated on a worker
-        #: pool, merged in partition order (results are identical to
-        #: sequential execution, row for row).
-        self.workers = workers
-        #: ``"thread"`` partitions run on a shared thread pool over the
-        #: live in-process arrays (zero setup cost, but compute-bound
-        #: hops serialize on the GIL); ``"process"`` ships partitions to
-        #: a persistent process pool over shared-memory planes — true
-        #: multicore, at the price of plane export and result pickling.
-        self.worker_mode = worker_mode
-        # The process-partition coordinator, created on first process
-        # dispatch; its PlaneManager caches adjacency exports across
-        # queries.  The finalizer unlinks every plane if the evaluator
-        # is dropped without close().
-        self._process_exec: Optional[parallel.ProcessPartitionExecutor] = \
-            None
-        self._process_finalizer = None
-        #: Anchor extents below this size always run sequentially —
-        #: thread dispatch costs more than the join saves.
-        self.min_parallel_rows = min_parallel_rows
         #: Ambient budget applied to every evaluation that does not
         #: pass an explicit one (the rule engine sets it for the
         #: duration of a budgeted derivation cascade).
@@ -317,15 +273,6 @@ class PatternEvaluator:
         # other term's extent warm.  Values are ``(token, set)``.
         self._extent_cache: Dict[ClassTerm, Tuple[Tuple[int, ...],
                                                   Set[OID]]] = {}
-        # Terms whose latest filtered extent came *entirely* from value
-        # index probes (no residual conjuncts): ``(token, ids, index)``
-        # with ids the sorted dense candidates.  Validated against the
-        # same ref token as the extent memo, and consumed by the
-        # process-dispatch path to export the filter as a reusable
-        # shared plane instead of a per-query ephemeral one.
-        self._probe_cache: Dict[ClassTerm,
-                                Tuple[Tuple[int, ...], array,
-                                      attrindex.AttrIndex]] = {}
         # How each term's filtered extent was last computed ("index",
         # "index+scan", or "scan") — stamped onto every JoinPlan as its
         # per-slot access annotation (visible in explain output).
@@ -346,21 +293,6 @@ class PatternEvaluator:
         # (provider-driven) evaluations save/restore it, so helpers
         # always append to their own call's metrics.
         self._metrics = self.last_metrics
-
-    @property
-    def _process_executor(self) -> parallel.ProcessPartitionExecutor:
-        exec_ = self._process_exec
-        if exec_ is None:
-            exec_ = self._process_exec = parallel.ProcessPartitionExecutor()
-            self._process_finalizer = weakref.finalize(self, exec_.close)
-        return exec_
-
-    def close(self) -> None:
-        """Unlink every shared-memory plane this evaluator exported.
-        Idempotent; the worker pools are process-global and survive
-        (they are torn down once at interpreter exit)."""
-        if self._process_exec is not None:
-            self._process_exec.close()
 
     # ------------------------------------------------------------------
     # Entry point
@@ -386,9 +318,7 @@ class PatternEvaluator:
         prev_metrics = self._metrics
         self._metrics = metrics
         tracer = obs.TRACER
-        span = tracer.start("query", result=name, compact=self.compact,
-                            workers=self.workers,
-                            worker_mode=self.worker_mode) \
+        span = tracer.start("query", result=name, compact=self.compact) \
             if tracer is not None else None
         if span is not None:
             metrics.trace_id = span.trace_id
@@ -530,9 +460,8 @@ class PatternEvaluator:
         self.extent_filter_evals += 1
         if len(self._extent_cache) > 1024:
             self._extent_cache.clear()
-            self._probe_cache.clear()
             self._extent_access.clear()
-        filtered = self._probe_extent(term, token)
+        filtered = self._probe_extent(term)
         if filtered is None:
             extent = self.universe.extent(term.ref)
             getter_for = self._getter_for(term)
@@ -564,8 +493,7 @@ class PatternEvaluator:
 
         return getter_for
 
-    def _probe_extent(self, term: ClassTerm,
-                      token: Tuple[int, ...]) -> Optional[Set[OID]]:
+    def _probe_extent(self, term: ClassTerm) -> Optional[Set[OID]]:
         """Serve a term's filtered extent from declared value indexes,
         or return ``None`` to scan.
 
@@ -615,10 +543,8 @@ class PatternEvaluator:
             decode = index_used.table.oids
             if not residual:
                 filtered = {decode[i] for i in ids}
-                self._probe_cache[term] = (token, ids, index_used)
                 self._extent_access[term] = "index"
             else:
-                self._probe_cache.pop(term, None)
                 self._extent_access[term] = "index+scan"
                 getter_for = self._getter_for(term)
                 filtered = set()
@@ -902,7 +828,7 @@ class PatternEvaluator:
             plan.access = self._access_modes(flat.terms)
             self._metrics.plans.append(plan)
             rows = self._execute_plan_ids(plan, resolutions, refs, tables,
-                                          filt, flat.terms)
+                                          filt)
             if span is not None:
                 span.add("rows_out", len(rows))
             return rows
@@ -914,300 +840,52 @@ class PatternEvaluator:
                           resolutions: List[EdgeResolution],
                           refs: List[ClassRef],
                           tables: List[InternTable],
-                          filt: List[Optional[frozenset]],
-                          terms: Optional[List[ClassTerm]] = None
+                          filt: List[Optional[frozenset]]
                           ) -> List[Tuple[int, ...]]:
         """Run a join plan over interned ids.
 
         Each hop runs as a vectorized columnar kernel
-        (:mod:`repro.oql.kernels`): one CSR gather per step over the
-        whole partition, an int-membership semi-join filter only when
-        the slot carries an intra-class condition — never a Python-level
-        append per output row.
-
-        With :attr:`workers` > 1 and an anchor extent past
-        :attr:`min_parallel_rows`, the anchor ids split into contiguous
-        partitions evaluated on the shared thread pool
-        (:attr:`worker_mode` ``"thread"``) or shipped to the persistent
-        process pool over shared-memory planes (``"process"``); every
-        partition runs the identical kernel sequence and the outputs
-        concatenate in partition order, so the merged row list is equal
-        — row for row — to the sequential one.
+        (:func:`repro.oql.kernels.run_steps`): one CSR gather per step
+        over the whole frontier, an int-membership semi-join filter only
+        when the slot carries an intra-class condition — never a
+        Python-level append per output row.
         """
         anchor_ids = filt[plan.anchor]
         anchor = (range(len(tables[plan.anchor].oids))
                   if anchor_ids is None else sorted(anchor_ids))
         plan.actual_anchor_rows = len(anchor)
-        workers = self.workers
-        if workers > 1 and plan.steps and \
-                len(anchor) >= max(self.min_parallel_rows, 2 * workers):
-            return self._execute_partitioned(plan, resolutions, refs,
-                                             tables, filt, anchor, workers,
-                                             terms)
-        specs = self._build_step_specs(plan.steps, resolutions, refs,
-                                       tables, filt)
-        rows, stats = self._run_plan_steps(plan.steps, specs, refs,
-                                           anchor, self._budget)
-        self._merge_step_stats(plan, [stats])
-        return rows
-
-    def _build_step_specs(self, steps,
-                          resolutions: List[EdgeResolution],
-                          refs: List[ClassRef],
-                          tables: List[InternTable],
-                          filt: List[Optional[frozenset]]
-                          ) -> List[kernels.StepSpec]:
-        """Reduce a plan's hops to kernel step specs over the live CSR
-        arrays.  Building them also forces every lazily-built shared
-        structure (adjacency indexes, and the interner entries
-        underneath) on the calling thread — including any
-        provider-driven derivation (backward chaining) an adjacency
-        build may trigger — so partition workers only ever read."""
-        universe = self.universe
         specs = []
-        for step in steps:
+        for step in plan.steps:
             forward = step.direction == "right"
             src = step.edge if forward else step.edge + 1
-            tgt = step.slot
-            adj = universe.adjacency(resolutions[step.edge], forward,
-                                     refs[src], refs[tgt])
-            ids = filt[tgt]
-            tgt_filter = None if ids is None else array("q", sorted(ids))
-            specs.append(kernels.StepSpec(step.op, forward, adj.offsets,
-                                          adj.neighbors,
-                                          len(tables[tgt]), tgt_filter))
-        return specs
-
-    def _probe_plane_entry(self, term: ClassTerm, ref: ClassRef,
-                           table: InternTable,
-                           filt_ids: Optional[frozenset]
-                           ) -> Optional[tuple]:
-        """The exportable value-index filter for one slot, if its
-        filtered extent came entirely from index probes: ``(plane key,
-        plane token, sorted ids, source index)``.  The entry is only
-        valid while the class version and index epoch that produced it
-        hold — the plane manager re-validates both at export, and the
-        token folds them in, so a stale export can never be attached."""
-        if filt_ids is None:
-            return None
-        entry = self._probe_cache.get(term)
-        if entry is None:
-            return None
-        token, ids, index = entry
-        if index.table is not table or len(ids) != len(filt_ids):
-            return None
-        if token != self.universe.ref_token(ref):
-            return None
-        key = ("attrfilter", table.key, index.attr, repr(term.condition))
-        ptoken = planes.vector_token((key, token, index.epoch))
-        return key, ptoken, ids, index
-
-    def _step_meta(self, steps, resolutions: List[EdgeResolution],
-                   refs: List[ClassRef], tables: List[InternTable],
-                   filt: List[Optional[frozenset]],
-                   terms: Optional[List[ClassTerm]] = None) -> List[dict]:
-        """The process-dispatch twin of :meth:`_build_step_specs`:
-        per hop, the adjacency index plus the stable cache key and
-        version token the plane manager validates exports against.
-        A slot whose filter was fully index-derived additionally
-        carries a ``filter_plane`` entry, so the coordinator exports
-        the candidate ids as a *cached* shared plane (reused across
-        queries while the index holds) instead of a per-query
-        ephemeral segment."""
-        universe = self.universe
-        meta = []
-        for step in steps:
-            forward = step.direction == "right"
-            src = step.edge if forward else step.edge + 1
-            tgt = step.slot
-            resolution = resolutions[step.edge]
-            adj = universe.adjacency(resolution, forward,
-                                     refs[src], refs[tgt])
-            key = universe.compact._adj_spec(resolution, forward,
-                                             adj.src.key, adj.tgt.key)
-            token = planes.vector_token(
-                (key, universe.ref_token(refs[src]),
-                 universe.ref_token(refs[tgt])))
-            ids = filt[tgt]
-            entry = {"op": step.op, "forward": forward,
-                     "index": adj, "key": key, "token": token,
-                     "tgt_size": len(tables[tgt]),
-                     "tgt_filter": (None if ids is None
-                                    else array("q", sorted(ids))),
-                     "filter_plane": None}
-            if terms is not None and ids is not None:
-                entry["filter_plane"] = self._probe_plane_entry(
-                    terms[tgt], refs[tgt], tables[tgt], ids)
-            meta.append(entry)
-        return meta
-
-    def _run_plan_steps(self, steps, specs: List[kernels.StepSpec],
-                        refs: List[ClassRef], anchor_ids,
-                        budget: Optional[QueryBudget]
-                        ) -> Tuple[List[Tuple[int, ...]],
-                                   List[Tuple[int, int]]]:
-        """The hop loop of a compact plan over one anchor partition.
-
-        Rows stay columnar between hops and materialize as tuples once
-        at the end.  Returns the rows plus per-step ``(distinct
-        frontier, rows after)`` counts; metrics are *not* touched here —
-        the caller merges the stats, so partitions can run this
-        concurrently.
-        """
-        tracer = obs.TRACER
-        stats: List[Tuple[int, int]] = []
-        cols = [kernels.anchor_column(anchor_ids)]
-        for step, spec in zip(steps, specs):
-            sspan = tracer.start("join-step", slot=refs[step.slot].slot,
-                                 op=step.op, direction=step.direction) \
-                if tracer is not None else None
-            try:
-                if not len(cols[0]):
-                    stats.append((0, 0))
-                    if sspan is not None:
-                        sspan.add("frontier", 0)
-                        sspan.add("rows_out", 0)
-                    continue
-                cols, frontier_size = kernels.execute_step(cols, spec,
-                                                           budget)
-                stats.append((frontier_size, len(cols[0])))
-                if sspan is not None:
-                    sspan.add("frontier", frontier_size)
-                    sspan.add("rows_out", len(cols[0]))
-            finally:
-                if sspan is not None:
-                    tracer.finish(sspan)
-        return kernels.columns_to_rows(cols), stats
-
-    def _merge_step_stats(self, plan: JoinPlan,
-                          stats_list: List[List[Tuple[int, int]]]) -> None:
-        """Fold per-partition step stats into the plan's actuals and the
-        evaluation metrics (partition frontiers sum: overlapping
-        endpoints across partitions each did the lookup work)."""
+            specs.append(self._step_spec(step.op, forward,
+                                         resolutions[step.edge], src,
+                                         step.slot, refs, tables, filt))
+        cols, stats = kernels.run_steps(specs, anchor, self._budget)
         metrics = self._metrics
-        for index, step in enumerate(plan.steps):
-            frontier = sum(stats[index][0] for stats in stats_list)
-            produced = sum(stats[index][1] for stats in stats_list)
+        for step, (frontier, produced) in zip(plan.steps, stats):
             step.actual_frontier = frontier
             step.actual_rows = produced
             metrics.edge_traversals += frontier
             metrics.rows_generated += produced
+        return kernels.columns_to_rows(cols)
 
-    def _execute_partitioned(self, plan: JoinPlan,
-                             resolutions: List[EdgeResolution],
-                             refs: List[ClassRef],
-                             tables: List[InternTable],
-                             filt: List[Optional[frozenset]],
-                             anchor, workers: int,
-                             terms: Optional[List[ClassTerm]] = None
-                             ) -> List[Tuple[int, ...]]:
-        """Split the anchor ids into contiguous partitions and run the
-        plan's kernel sequence over each — on the shared thread pool,
-        or on the persistent process pool over shared-memory planes."""
-        if self.worker_mode == "process":
-            return self._execute_partitioned_process(
-                plan, resolutions, refs, tables, filt, anchor, workers,
-                terms)
-        budget = self._budget
-        specs = self._build_step_specs(plan.steps, resolutions, refs,
-                                       tables, filt)
-        # Probe structures are built once here rather than lazily on
-        # the workers (the lazy build is a benign but wasteful race).
-        for spec in specs:
-            spec.probe()
-            if kernels.numpy_active():
-                spec.np_mask()
-        bounds = parallel.partition_bounds(len(anchor), workers)
-        results: List[Optional[List[Tuple[int, ...]]]] = \
-            [None] * len(bounds)
-        stats_list: List[Optional[List[Tuple[int, int]]]] = \
-            [None] * len(bounds)
-        timings: List[dict] = [{} for _ in bounds]
-
-        tracer = obs.TRACER
-        # Captured on the dispatching thread: workers open their span
-        # with this explicit parent, stitching the partition subtrees
-        # under the query span across threads.
-        parent_span = tracer.current_span() if tracer is not None else None
-
-        def run(index: int, lo: int, hi: int) -> None:
-            pspan = tracer.start("partition", parent=parent_span,
-                                 partition=index, mode="thread") \
-                if tracer is not None else None
-            started = time.perf_counter()
-            try:
-                out, stats = self._run_plan_steps(plan.steps, specs, refs,
-                                                  anchor[lo:hi], budget)
-                results[index] = out
-                stats_list[index] = stats
-                timings[index].update(
-                    partition=index, anchor_rows=hi - lo,
-                    rows_out=len(out), mode="thread",
-                    ms=(time.perf_counter() - started) * 1000.0)
-                if pspan is not None:
-                    pspan.add("rows_out", len(out))
-            finally:
-                if pspan is not None:
-                    pspan.add("anchor_rows", hi - lo)
-                    tracer.finish(pspan)
-
-        pool = parallel.thread_pool(workers)
-        futures = [pool.submit(run, index, lo, hi)
-                   for index, (lo, hi) in enumerate(bounds)]
-        futures_wait(futures)
-        # Every future is done.  Merge what finished, then surface the
-        # first failure (a budget trip in one partition trips the
-        # shared budget in all of them).
-        finished = [stats for stats in stats_list if stats is not None]
-        if finished:
-            self._merge_step_stats(plan, finished)
-        metrics = self._metrics
-        metrics.workers_used = max(metrics.workers_used, len(bounds))
-        metrics.worker_mode = "thread"
-        metrics.partitions.extend(t for t in timings if t)
-        for future in futures:
-            error = future.exception()
-            if error is not None:
-                raise error
-        return [row for part_rows in results for row in part_rows]
-
-    def _execute_partitioned_process(self, plan: JoinPlan,
-                                     resolutions: List[EdgeResolution],
-                                     refs: List[ClassRef],
-                                     tables: List[InternTable],
-                                     filt: List[Optional[frozenset]],
-                                     anchor, workers: int,
-                                     terms: Optional[List[ClassTerm]] = None
-                                     ) -> List[Tuple[int, ...]]:
-        """Ship the plan's hops to the persistent process pool: only
-        segment names, partition bounds and budget limits cross the
-        pipe; workers attach the planes read-only and return packed
-        int64 columns, merged here in partition order."""
-        meta = self._step_meta(plan.steps, resolutions, refs, tables,
-                               filt, terms)
-        tracer = obs.TRACER
-        parent_span = tracer.current_span() if tracer is not None else None
-        rows, stats_list, infos = self._process_executor.run_chain(
-            meta, anchor, workers, self._budget)
-        self._merge_step_stats(plan, stats_list)
-        metrics = self._metrics
-        metrics.workers_used = max(metrics.workers_used, len(infos))
-        metrics.worker_mode = "process"
-        for info in infos:
-            record = dict(info, mode="process")
-            metrics.partitions.append(record)
-            if tracer is not None:
-                # Stitched post hoc (the worker ran in another process):
-                # wall/CPU spend rides as span attributes.
-                pspan = tracer.start("partition", parent=parent_span,
-                                     partition=record["partition"],
-                                     mode="process", pid=record["pid"])
-                pspan.add("anchor_rows", record["anchor_rows"])
-                pspan.add("rows_out", record["rows_out"])
-                pspan.set("wall_ms", round(record["ms"], 3))
-                pspan.set("cpu_ms", round(record["cpu_ms"], 3))
-                tracer.finish(pspan)
-        return rows
+    def _step_spec(self, op: str, forward: bool,
+                   resolution: EdgeResolution, src: int, tgt: int,
+                   refs: List[ClassRef], tables: List[InternTable],
+                   filt: List[Optional[frozenset]]) -> kernels.StepSpec:
+        """Reduce one hop from slot ``src`` to slot ``tgt`` to a kernel
+        step spec over the live CSR arrays.  Building it forces the
+        lazily-built adjacency index — and any provider-driven
+        derivation (backward chaining) that build triggers — before the
+        kernels run."""
+        adj = self.universe.adjacency(resolution, forward,
+                                      refs[src], refs[tgt])
+        ids = filt[tgt]
+        tgt_filter = None if ids is None else array("q", sorted(ids))
+        return kernels.StepSpec(op, forward, adj.offsets, adj.neighbors,
+                                len(tables[tgt]), tgt_filter,
+                                slot=refs[tgt].slot)
 
     def _evaluate_chain_compact(self, flat: _Flattened,
                                 name: str) -> Subdatabase:
@@ -1392,15 +1070,11 @@ class PatternEvaluator:
     def _evaluate_loop_compact(self, flat: _Flattened,
                                count: Optional[int],
                                name: str) -> Subdatabase:
-        """Semi-naive transitive closure over interned ids.
-
-        Level N+1 extends only the rows *new at level N* (the delta
-        frontier), and each anchor instance's one-cycle body expansion
-        is computed at most once per evaluation and memoized — an
-        anchor reached through many hierarchies, or reached again at a
-        deeper level, reuses the cached expansion instead of
-        re-traversing the body.
-        """
+        """Semi-naive transitive closure over interned ids
+        (:func:`repro.oql.kernels.closure_partition`): each anchor
+        instance's one-cycle body expansion is computed at most once
+        per evaluation — and, with the result cache on, reused across
+        queries while the dependency classes are unchanged."""
         terms, n, body = self._loop_guard(flat)
         extents = [self._extent(term) for term in terms]
         resolutions = self._resolutions(flat)
@@ -1413,8 +1087,6 @@ class PatternEvaluator:
             # cycle seam, so fall back to the OID executor.
             return self._evaluate_loop(flat, count, name)
         filt = self._filtered_ids(extents, tables)
-        max_level = count if count is not None else self.max_depth
-        budget = self._budget
 
         # Cross-query anchor-expansion memo: the one-cycle body
         # expansion of an anchor id depends only on the term extents and
@@ -1423,6 +1095,7 @@ class PatternEvaluator:
         # unchanged vector means the same id bijection even if the
         # tables were rebuilt in between.
         memo_key = memo_vector = None
+        expansions: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         cache = self.result_cache
         if cache.enabled:
             dep = dependency_classes(terms)
@@ -1431,107 +1104,35 @@ class PatternEvaluator:
                             repr((tuple(terms), tuple(flat.ops), count,
                                   self.on_cycle)))
                 memo_vector = self.universe.class_vector(dep)
+                seeded = cache.lookup(memo_key, memo_vector)
+                if seeded is not None:
+                    expansions = dict(seeded)
+                    self._metrics.cache_memo_hits += 1
 
         # Level 1: one full traversal of the cycle.
         frontier = self._match_range_ids(flat, 0, n - 1, extents,
                                          resolutions, refs, tables, filt)
-        total_rows = len(frontier)
-        workers = self.workers
-        if workers > 1 and \
-                len(frontier) >= max(self.min_parallel_rows, 2 * workers):
-            # Hierarchies rooted at distinct level-1 rows are
-            # independent, so the closure partitions shared-nothing
-            # over the frontier.  The cross-query loop-body memo is
-            # skipped here: per-partition expansion tables only cover
-            # the anchors their slice reached.
-            kept_rows, extended = self._closure_partitioned(
-                frontier, resolutions, refs, tables, filt, n, body,
-                max_level, count is None, workers, terms)
-            return self._loop_materialize(name, terms, resolutions,
-                                          tables, kept_rows,
-                                          total_rows + extended, n, body)
-        # Loop rows grow from slot 0, so one covers another exactly when
-        # the shorter is its prefix — and prefixes only arise by direct
-        # ancestry.  A row is therefore subsumed iff it gets extended at
-        # the next level; tracking kept rows inline replaces the generic
-        # subsumption pass (the dominant cost of deep closures).
-        kept_rows: List[Tuple[int, ...]] = []
-        level = 1
-        #: anchor id -> its one-cycle body expansions (anchor dropped).
-        expansions: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-        if memo_key is not None:
-            seeded = cache.lookup(memo_key, memo_vector)
-            if seeded is not None:
-                expansions = dict(seeded)
-                self._metrics.cache_memo_hits += 1
-        tracer = obs.TRACER
-        while frontier and level < max_level:
-            level += 1
-            lspan = tracer.start("loop-level", level=level) \
-                if tracer is not None else None
-            if lspan is not None:
-                lspan.add("frontier", len(frontier))
-            produced = 0
-            try:
-                if budget is not None:
-                    budget.check_level(level)
-                    budget.check_time()
-                new_anchors = ({row[-1] for row in frontier}
-                               - expansions.keys())
-                if new_anchors:
-                    self._expand_anchors(new_anchors, expansions,
-                                         resolutions, refs, tables, filt,
-                                         n)
-                if lspan is not None:
-                    lspan.add("new_anchors", len(new_anchors))
-                extended: List[Tuple[int, ...]] = []
-                next_check = (budget.CHECK_EVERY if budget is not None
-                              else None)
-                charged = 0
-                for row in frontier:
-                    grew = False
-                    for extension in expansions[row[-1]]:
-                        last = extension[-1]
-                        # Root positions all intern through the
-                        # cycle-seam table (tables[0] is tables[-1]), so
-                        # id equality is instance equality.
-                        if any(row[p] == last
-                               for p in range(0, len(row), body)):
-                            if self.on_cycle == "error":
-                                raise CyclicDataError(
-                                    f"instance {tables[-1].oids[last]!r} "
-                                    f"repeats in a loop hierarchy; the "
-                                    f"paper assumes the traversed "
-                                    f"relationship is acyclic (use "
-                                    f"on_cycle='stop' to truncate)")
-                            continue
-                        extended.append(row + extension)
-                        grew = True
-                    if not grew:
-                        kept_rows.append(row)
-                    if next_check is not None and \
-                            len(extended) >= next_check:
-                        # Chunked enforcement: overshoot past a deadline
-                        # is bounded by one chunk of tuple appends, not
-                        # one whole level of an exploding closure.
-                        budget.charge_rows(len(extended) - charged)
-                        charged = len(extended)
-                        budget.check_time()
-                        next_check = charged + budget.CHECK_EVERY
-                if budget is not None:
-                    budget.charge_rows(len(extended) - charged)
-                total_rows += len(extended)
-                self._metrics.rows_generated += len(extended)
-                produced = len(extended)
-                frontier = extended
-            finally:
-                if lspan is not None:
-                    lspan.add("rows_out", produced)
-                    tracer.finish(lspan)
-        if count is None and frontier and level >= self.max_depth:
+        specs = [self._step_spec("*", True, resolutions[k], k, k + 1,
+                                 refs, tables, filt)
+                 for k in range(n - 1)]
+        try:
+            kept_rows, stats = kernels.closure_partition(
+                frontier, specs, body,
+                count if count is not None else self.max_depth,
+                self.on_cycle, self._budget, count is None, expansions)
+        except kernels.CycleHit as hit:
+            raise CyclicDataError(
+                f"instance {tables[-1].oids[hit.dense_id]!r} repeats in "
+                f"a loop hierarchy; the paper assumes the traversed "
+                f"relationship is acyclic (use on_cycle='stop' to "
+                f"truncate)") from None
+        except kernels.NonTerminating:
             raise CyclicDataError(
                 f"unbounded loop did not terminate within "
-                f"{self.max_depth} levels")
+                f"{self.max_depth} levels") from None
+        metrics = self._metrics
+        metrics.rows_generated += stats["extended"]
+        metrics.edge_traversals += stats["edge_traversals"]
         if memo_key is not None and expansions:
             # Populated only on a completed closure (a budget trip or
             # cycle error unwinds past this line).
@@ -1539,230 +1140,23 @@ class PatternEvaluator:
             nbytes = (256 + len(expansions) * 80
                       + tuples * (48 + 16 * body))
             cache.store(memo_key, memo_vector, dict(expansions), nbytes)
-        # The final frontier was never expanded: all of it survives.
-        kept_rows.extend(frontier)
-        return self._loop_materialize(name, terms, resolutions, tables,
-                                      kept_rows, total_rows, n, body)
 
-    def _loop_materialize(self, name: str, terms: List[ClassTerm],
-                          resolutions: List[EdgeResolution],
-                          tables: List[InternTable],
-                          kept_rows: List[Tuple[int, ...]],
-                          total_rows: int, n: int,
-                          body: int) -> Subdatabase:
-        """Pad the surviving closure rows to the deepest level reached
-        and decode them — shared by the serial and partitioned loops."""
+        # Pad the surviving closure rows to the deepest level reached
+        # and decode them.
         levels_reached = max(
             (1 + (len(row) - n) // body for row in kept_rows), default=1)
         intension = self._loop_intension(terms, resolutions,
                                          levels_reached, n, body)
         width = len(intension.slots)
         kept = {row + (None,) * (width - len(row)) for row in kept_rows}
-        self._metrics.patterns_subsumed += total_rows - len(kept)
-        self._metrics.loop_levels = levels_reached
+        metrics.patterns_subsumed += (len(frontier) + stats["extended"]
+                                      - len(kept))
+        metrics.loop_levels = levels_reached
         decode_tables = [tables[t] if t < n
                          else tables[1 + (t - n) % body]
                          for t in range(width)]
         return Subdatabase.from_interned_rows(name, intension, kept,
                                               decode_tables)
-
-    def _body_specs(self, resolutions: List[EdgeResolution],
-                    refs: List[ClassRef], tables: List[InternTable],
-                    filt: List[Optional[frozenset]],
-                    n: int) -> List[kernels.StepSpec]:
-        """Kernel specs for one forward traversal of a loop's cycle
-        body (hops ``k -> k+1``; loops admit only ``*`` hops)."""
-        universe = self.universe
-        specs = []
-        for k in range(n - 1):
-            adj = universe.adjacency(resolutions[k], True,
-                                     refs[k], refs[k + 1])
-            ids = filt[k + 1]
-            tgt_filter = None if ids is None else array("q", sorted(ids))
-            specs.append(kernels.StepSpec("*", True, adj.offsets,
-                                          adj.neighbors,
-                                          len(tables[k + 1]), tgt_filter))
-        return specs
-
-    def _body_meta(self, resolutions: List[EdgeResolution],
-                   refs: List[ClassRef], tables: List[InternTable],
-                   filt: List[Optional[frozenset]], n: int,
-                   terms: Optional[List[ClassTerm]] = None) -> List[dict]:
-        """Process-dispatch metadata for a loop's cycle-body hops."""
-        universe = self.universe
-        meta = []
-        for k in range(n - 1):
-            resolution = resolutions[k]
-            adj = universe.adjacency(resolution, True,
-                                     refs[k], refs[k + 1])
-            key = universe.compact._adj_spec(resolution, True,
-                                             adj.src.key, adj.tgt.key)
-            token = planes.vector_token(
-                (key, universe.ref_token(refs[k]),
-                 universe.ref_token(refs[k + 1])))
-            ids = filt[k + 1]
-            entry = {"op": "*", "forward": True, "index": adj,
-                     "key": key, "token": token,
-                     "tgt_size": len(tables[k + 1]),
-                     "tgt_filter": (None if ids is None
-                                    else array("q", sorted(ids))),
-                     "filter_plane": None}
-            if terms is not None and ids is not None:
-                entry["filter_plane"] = self._probe_plane_entry(
-                    terms[k + 1], refs[k + 1], tables[k + 1], ids)
-            meta.append(entry)
-        return meta
-
-    def _closure_partitioned(self, frontier: List[Tuple[int, ...]],
-                             resolutions: List[EdgeResolution],
-                             refs: List[ClassRef],
-                             tables: List[InternTable],
-                             filt: List[Optional[frozenset]],
-                             n: int, body: int, max_level: int,
-                             unbounded: bool, workers: int,
-                             terms: Optional[List[ClassTerm]] = None
-                             ) -> Tuple[List[Tuple[int, ...]], int]:
-        """Run the semi-naive closure with the level-1 frontier split
-        across workers (threads over the live arrays, or processes over
-        shared-memory planes); returns ``(kept rows, extended-row
-        total)``.  Worker-side cycle/non-termination markers translate
-        here into the same :class:`CyclicDataError`\\ s the serial loop
-        raises — the coordinator owns the intern tables that name the
-        offending instance."""
-        budget = self._budget
-        metrics = self._metrics
-        tracer = obs.TRACER
-        parent_span = tracer.current_span() if tracer is not None else None
-        try:
-            if self.worker_mode == "process":
-                meta = self._body_meta(resolutions, refs, tables, filt, n,
-                                       terms)
-                kept, stats_list, infos = \
-                    self._process_executor.run_closure(
-                        meta, frontier, body, max_level, self.on_cycle,
-                        unbounded, workers, budget)
-                for info, stats in zip(infos, stats_list):
-                    record = dict(info, mode="process",
-                                  level=stats["level"])
-                    metrics.partitions.append(record)
-                    if tracer is not None:
-                        pspan = tracer.start("partition",
-                                             parent=parent_span,
-                                             partition=record["partition"],
-                                             mode="process",
-                                             pid=record["pid"])
-                        pspan.add("anchor_rows", record["anchor_rows"])
-                        pspan.add("rows_out", record["rows_out"])
-                        pspan.add("level", stats["level"])
-                        pspan.set("wall_ms", round(record["ms"], 3))
-                        pspan.set("cpu_ms", round(record["cpu_ms"], 3))
-                        tracer.finish(pspan)
-            else:
-                specs = self._body_specs(resolutions, refs, tables,
-                                         filt, n)
-                for spec in specs:
-                    spec.probe()
-                    if kernels.numpy_active():
-                        spec.np_mask()
-                bounds = parallel.partition_bounds(len(frontier), workers)
-                results: List[Optional[List[Tuple[int, ...]]]] = \
-                    [None] * len(bounds)
-                stats_list = [None] * len(bounds)
-
-                def run(index: int, lo: int, hi: int) -> None:
-                    pspan = tracer.start("partition", parent=parent_span,
-                                         partition=index, mode="thread") \
-                        if tracer is not None else None
-                    started = time.perf_counter()
-                    try:
-                        out, stats = kernels.closure_partition(
-                            frontier[lo:hi], specs, body, max_level,
-                            self.on_cycle, budget, unbounded)
-                        results[index] = out
-                        stats_list[index] = stats
-                        metrics.partitions.append({
-                            "partition": index, "anchor_rows": hi - lo,
-                            "rows_out": len(out), "mode": "thread",
-                            "level": stats["level"],
-                            "ms": (time.perf_counter() - started)
-                                  * 1000.0})
-                        if pspan is not None:
-                            pspan.add("rows_out", len(out))
-                            pspan.add("level", stats["level"])
-                    finally:
-                        if pspan is not None:
-                            pspan.add("anchor_rows", hi - lo)
-                            tracer.finish(pspan)
-
-                pool = parallel.thread_pool(workers)
-                futures = [pool.submit(run, index, lo, hi)
-                           for index, (lo, hi) in enumerate(bounds)]
-                futures_wait(futures)
-                stats_list = [s for s in stats_list if s is not None]
-                for future in futures:
-                    error = future.exception()
-                    if error is not None:
-                        raise error
-                kept = [row for part in results for row in part]
-        except kernels.CycleHit as hit:
-            raise CyclicDataError(
-                f"instance {tables[-1].oids[hit.dense_id]!r} repeats in "
-                f"a loop hierarchy; the paper assumes the traversed "
-                f"relationship is acyclic (use on_cycle='stop' to "
-                f"truncate)")
-        except kernels.NonTerminating:
-            raise CyclicDataError(
-                f"unbounded loop did not terminate within "
-                f"{self.max_depth} levels")
-        extended = sum(s["extended"] for s in stats_list)
-        metrics.rows_generated += extended
-        metrics.edge_traversals += sum(s["edge_traversals"]
-                                       for s in stats_list)
-        metrics.workers_used = max(metrics.workers_used, len(stats_list))
-        metrics.worker_mode = self.worker_mode
-        return kept, extended
-
-    def _expand_anchors(self, anchors: Set[int],
-                        expansions: Dict[int, Tuple[Tuple[int, ...], ...]],
-                        resolutions: List[EdgeResolution],
-                        refs: List[ClassRef],
-                        tables: List[InternTable],
-                        filt: List[Optional[frozenset]],
-                        n: int) -> None:
-        """Traverse the cycle body once from each anchor id, batched per
-        hop over distinct endpoints, and memoize the expansions."""
-        universe = self.universe
-        metrics = self._metrics
-        budget = self._budget
-        partials: List[Tuple[int, ...]] = [(a,) for a in anchors]
-        for k in range(n - 1):
-            if not partials:
-                break
-            if budget is not None:
-                budget.check_time()
-            adj = universe.adjacency(resolutions[k], True,
-                                     refs[k], refs[k + 1])
-            ends = {partial[-1] for partial in partials}
-            metrics.edge_traversals += len(ends)
-            tgt_ids = filt[k + 1]
-            candidates: Dict[int, Sequence[int]] = {}
-            if tgt_ids is None:
-                for f in ends:
-                    candidates[f] = adj.row(f)
-            else:
-                for f in ends:
-                    candidates[f] = [v for v in adj.row(f) if v in tgt_ids]
-            partials = [partial + (v,) for partial in partials
-                        for v in candidates[partial[-1]]]
-            if budget is not None:
-                budget.charge_rows(len(partials))
-        for anchor in anchors:
-            expansions[anchor] = ()
-        grouped: Dict[int, List[Tuple[int, ...]]] = {}
-        for partial in partials:
-            grouped.setdefault(partial[0], []).append(partial[1:])
-        for anchor, exts in grouped.items():
-            expansions[anchor] = tuple(exts)
 
     # ------------------------------------------------------------------
     # The Where subclause

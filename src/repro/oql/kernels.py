@@ -2,8 +2,8 @@
 
 The compact executor's inner loops used to materialize every joined row
 as a Python tuple — one interpreter-level append *per output row*.
-These kernels keep a partition's rows **columnar** (one int64 vector
-per slot) while the plan runs, so a join hop becomes a handful of bulk
+These kernels keep a plan's rows **columnar** (one int64 vector per
+slot) while the plan runs, so a join hop becomes a handful of bulk
 operations: per input row, one C-level slice copy of its CSR neighbor
 run plus one replication of the existing columns by the neighbor
 counts.  Rows only become tuples once, after the last hop.
@@ -18,25 +18,26 @@ Two interchangeable implementations sit behind a feature probe:
   iteration per *input* row (not per output row) and C-level
   ``frombytes`` neighbor copies.
 
-Both read the same :class:`StepSpec` buffers, which may be live
-``array("q")`` objects (in-process execution) or ``memoryview``\\ s
-over attached shared-memory planes (worker processes,
-:mod:`repro.subdb.planes`) — the kernels are the single join
-implementation shared by the serial path, the thread partitions, and
-the process workers, which is what keeps all three byte-identical.
+Both read the same :class:`StepSpec` buffers (the live CSR
+``array("q")`` objects of :mod:`repro.subdb.adjindex`).  The kernels
+are the compact executor's only hop loop (:func:`run_steps`) and only
+closure loop (:func:`closure_partition`); the evaluator's set-based
+``compact=False`` executor is the independent reference they are
+checked against.  Both loops emit the ``join-step`` / ``loop-level``
+tracer spans.
 
 Budget enforcement is duck-typed: anything with ``CHECK_EVERY``,
-``check_time()``, ``charge_rows(n)`` and ``check_level(level)`` works —
-a :class:`~repro.oql.budget.QueryBudget` in-process, a
-:class:`~repro.oql.parallel.WorkerBudget` (shared cancellation flag +
-local deadline) inside a worker.
+``check_time()``, ``charge_rows(n)`` and ``check_level(level)`` works
+(a :class:`~repro.oql.budget.QueryBudget`).
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro import obs
 
 try:
     if os.environ.get("REPRO_NO_NUMPY"):
@@ -54,7 +55,7 @@ def numpy_active() -> bool:
 
 class CycleHit(Exception):
     """A loop hierarchy revisited an instance under ``on_cycle="error"``
-    — carries the dense id so the coordinator (which owns the intern
+    — carries the dense id so the evaluator (which owns the intern
     tables) can name the instance in the user-facing error."""
 
     def __init__(self, dense_id: int):
@@ -72,18 +73,19 @@ class StepSpec:
     ``offsets``/``neighbors`` are the CSR arrays (any int64 buffer);
     ``tgt_filter`` is the slot's filtered extent as a *sorted*
     ``array("q")`` — ``None`` when the filter kept the whole extent.
-    Derived probe structures (masks, numpy views) are built lazily and
-    cached; specs are built once per query on the dispatching thread,
-    then read concurrently.
+    ``slot`` names the target slot in the ``join-step`` span.  Derived
+    probe structures (masks, numpy views) are built lazily and cached.
     """
 
     __slots__ = ("op", "forward", "offsets", "neighbors", "tgt_size",
-                 "tgt_filter", "_probe", "_np_mask", "_nbr_bytes")
+                 "tgt_filter", "slot", "_probe", "_np_mask", "_nbr_bytes")
 
     def __init__(self, op: str, forward: bool, offsets, neighbors,
-                 tgt_size: int, tgt_filter: Optional[array] = None):
+                 tgt_size: int, tgt_filter: Optional[array] = None,
+                 slot: str = ""):
         self.op = op
         self.forward = forward
+        self.slot = slot
         self.offsets = offsets
         self.neighbors = neighbors
         self.tgt_size = tgt_size
@@ -136,8 +138,8 @@ class StepSpec:
 # ----------------------------------------------------------------------
 
 def anchor_column(ids):
-    """The partition's anchor ids as one column (a range, a sorted
-    list, or an ``array("q")`` slice)."""
+    """The anchor ids as one column (a range, a sorted list, or an
+    ``array("q")``)."""
     if _np is not None:
         if isinstance(ids, range):
             return _np.arange(ids.start, ids.stop, dtype=_np.int64)
@@ -151,21 +153,6 @@ def columns_to_rows(cols) -> List[Tuple[int, ...]]:
     if not cols or not len(cols[0]):
         return []
     return list(zip(*[col.tolist() for col in cols]))
-
-
-def columns_to_bytes(cols) -> List[bytes]:
-    """Pack columns for a cross-process return (one int64 blob each)."""
-    return [col.tobytes() for col in cols]
-
-
-def rows_from_column_bytes(blobs: Sequence[bytes]) -> List[Tuple[int, ...]]:
-    """Rebuild row tuples from a worker's packed columns."""
-    cols = []
-    for blob in blobs:
-        col = array("q")
-        col.frombytes(blob)
-        cols.append(col)
-    return columns_to_rows(cols)
 
 
 # ----------------------------------------------------------------------
@@ -329,20 +316,31 @@ def _replicate(col, counts: Sequence[int], total: int) -> array:
 
 
 def run_steps(specs: Sequence[StepSpec], anchor_ids, budget=None):
-    """Run a whole plan's hop sequence over one anchor partition.
+    """Run a whole plan's hop sequence from the anchor ids.
 
     Returns ``(columns, stats)`` with per-step ``(distinct frontier,
-    rows after)`` counts — the same stats contract as the evaluator's
-    traced step loop, so partition results merge uniformly whether they
-    ran in-process or in a worker."""
+    rows after)`` counts.  Each hop is one ``join-step`` span when a
+    tracer is installed."""
+    tracer = obs.TRACER
     cols = [anchor_column(anchor_ids)]
     stats: List[Tuple[int, int]] = []
     for spec in specs:
-        if not len(cols[0]):
-            stats.append((0, 0))
-            continue
-        cols, frontier = execute_step(cols, spec, budget)
-        stats.append((frontier, len(cols[0]) if cols else 0))
+        span = tracer.start("join-step", slot=spec.slot, op=spec.op,
+                            direction="right" if spec.forward
+                            else "left") \
+            if tracer is not None else None
+        try:
+            if len(cols[0]):
+                cols, frontier = execute_step(cols, spec, budget)
+                stats.append((frontier, len(cols[0])))
+            else:
+                stats.append((0, 0))
+            if span is not None:
+                span.add("frontier", stats[-1][0])
+                span.add("rows_out", stats[-1][1])
+        finally:
+            if span is not None:
+                tracer.finish(span)
     return cols, stats
 
 
@@ -439,69 +437,93 @@ def sorted_complement(size: int, a) -> array:
 
 
 # ----------------------------------------------------------------------
-# Loop closure over one frontier partition
+# Loop closure
 # ----------------------------------------------------------------------
 
 def closure_partition(frontier: List[Tuple[int, ...]],
                       body_specs: Sequence[StepSpec],
                       body: int, max_level: int, on_cycle: str,
-                      budget=None, unbounded: bool = False):
-    """Run the semi-naive closure to completion over one slice of the
-    level-1 frontier.
+                      budget=None, unbounded: bool = False,
+                      expansions: Optional[Dict[int, Tuple[Tuple[int, ...],
+                                                           ...]]] = None):
+    """Run the semi-naive closure to completion from the level-1
+    frontier.
 
-    Hierarchies growing from distinct level-1 rows are independent, so
-    partitions share nothing but the (read-only) adjacency buffers —
-    each partition memoizes its own anchor expansions.  Matches the
-    serial loop's semantics: a row is kept exactly when it stops
-    growing, ``on_cycle="error"`` raises :class:`CycleHit`, an
-    unbounded loop with a live frontier at ``max_level`` raises
-    :class:`NonTerminating`.
+    Level N+1 extends only the rows *new at level N*, and each anchor
+    instance's one-cycle body expansion is computed at most once and
+    memoized in ``expansions`` (anchor id -> body extensions, anchor
+    dropped) — pass a dict seeded from an earlier evaluation to reuse
+    its expansions; new ones are added to it in place.  Loop rows grow
+    from slot 0, so a row is subsumed exactly when it gets extended at
+    the next level: a row is kept when it stops growing.
+    ``on_cycle="error"`` raises :class:`CycleHit`; an unbounded loop
+    with a live frontier at ``max_level`` raises
+    :class:`NonTerminating`.  Each level is one ``loop-level`` span
+    when a tracer is installed.
 
     Returns ``(kept_rows, stats)`` where stats counts the extended-row
     deltas, the distinct-endpoint traversals, and the last level
     reached.
     """
+    tracer = obs.TRACER
     kept: List[Tuple[int, ...]] = []
-    expansions: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+    if expansions is None:
+        expansions = {}
     level = 1
     total_extended = 0
     edge_traversals = 0
     while frontier and level < max_level:
         level += 1
-        if budget is not None:
-            budget.check_level(level)
-            budget.check_time()
-        new_anchors = {row[-1] for row in frontier} - expansions.keys()
-        if new_anchors:
-            edge_traversals += _expand_anchor_ids(
-                new_anchors, expansions, body_specs, budget)
+        span = tracer.start("loop-level", level=level) \
+            if tracer is not None else None
         extended: List[Tuple[int, ...]] = []
-        append = extended.append
-        next_check = budget.CHECK_EVERY if budget is not None else None
-        charged = 0
-        for row in frontier:
-            grew = False
-            for extension in expansions[row[-1]]:
-                last = extension[-1]
-                if any(row[p] == last for p in range(0, len(row), body)):
-                    if on_cycle == "error":
-                        raise CycleHit(last)
-                    continue
-                append(row + extension)
-                grew = True
-            if not grew:
-                kept.append(row)
-            if next_check is not None and len(extended) >= next_check:
-                budget.charge_rows(len(extended) - charged)
-                charged = len(extended)
+        try:
+            if span is not None:
+                span.add("frontier", len(frontier))
+            if budget is not None:
+                budget.check_level(level)
                 budget.check_time()
-                next_check = charged + budget.CHECK_EVERY
-        if budget is not None:
-            budget.charge_rows(len(extended) - charged)
+            new_anchors = {row[-1] for row in frontier} - expansions.keys()
+            if new_anchors:
+                edge_traversals += _expand_anchor_ids(
+                    new_anchors, expansions, body_specs, budget)
+            if span is not None:
+                span.add("new_anchors", len(new_anchors))
+            append = extended.append
+            next_check = budget.CHECK_EVERY if budget is not None else None
+            charged = 0
+            for row in frontier:
+                grew = False
+                for extension in expansions[row[-1]]:
+                    last = extension[-1]
+                    if any(row[p] == last
+                           for p in range(0, len(row), body)):
+                        if on_cycle == "error":
+                            raise CycleHit(last)
+                        continue
+                    append(row + extension)
+                    grew = True
+                if not grew:
+                    kept.append(row)
+                if next_check is not None and len(extended) >= next_check:
+                    # Chunked enforcement: overshoot past a deadline is
+                    # bounded by one chunk of tuple appends, not one
+                    # whole level of an exploding closure.
+                    budget.charge_rows(len(extended) - charged)
+                    charged = len(extended)
+                    budget.check_time()
+                    next_check = charged + budget.CHECK_EVERY
+            if budget is not None:
+                budget.charge_rows(len(extended) - charged)
+        finally:
+            if span is not None:
+                span.add("rows_out", len(extended))
+                tracer.finish(span)
         total_extended += len(extended)
         frontier = extended
     if unbounded and frontier and level >= max_level:
         raise NonTerminating()
+    # The final frontier was never expanded: all of it survives.
     kept.extend(frontier)
     return kept, {"extended": total_extended,
                   "edge_traversals": edge_traversals,
@@ -512,14 +534,9 @@ def _expand_anchor_ids(anchors: Set[int],
                        expansions: Dict[int, Tuple[Tuple[int, ...], ...]],
                        body_specs: Sequence[StepSpec], budget) -> int:
     """One-cycle body expansion of each anchor id, via the columnar
-    step kernels; memoized into ``expansions``."""
-    cols = [anchor_column(sorted(anchors))]
-    traversals = 0
-    for spec in body_specs:
-        if not len(cols[0]):
-            break
-        cols, frontier = execute_step(cols, spec, budget)
-        traversals += frontier
+    step kernels; memoized into ``expansions``.  Returns the
+    distinct-endpoint traversals."""
+    cols, stats = run_steps(body_specs, sorted(anchors), budget)
     for anchor in anchors:
         expansions[anchor] = ()
     grouped: Dict[int, List[Tuple[int, ...]]] = {}
@@ -527,4 +544,4 @@ def _expand_anchor_ids(anchors: Set[int],
         grouped.setdefault(row[0], []).append(row[1:])
     for anchor, exts in grouped.items():
         expansions[anchor] = tuple(exts)
-    return traversals
+    return sum(frontier for frontier, _rows in stats)

@@ -78,21 +78,18 @@ class RuleEngine:
     def __init__(self, db: Database, controller: str = "result",
                  on_cycle: str = "error",
                  operations: Optional[OperationRegistry] = None,
-                 compact: bool = True, workers: int = 1,
-                 worker_mode: str = "thread",
+                 compact: bool = True,
                  maintenance_budget: Optional[QueryBudget] = None,
                  cache_bytes: int = 0):
         self.db = db
         self.universe = Universe(db)
         self.universe.provider = self._provide
         self.evaluator = PatternEvaluator(self.universe, on_cycle=on_cycle,
-                                          compact=compact, workers=workers,
-                                          worker_mode=worker_mode,
+                                          compact=compact,
                                           cache_bytes=cache_bytes)
         self.processor = QueryProcessor(self.universe, on_cycle=on_cycle,
                                         operations=operations,
-                                        compact=compact, workers=workers,
-                                        worker_mode=worker_mode,
+                                        compact=compact,
                                         cache_bytes=cache_bytes)
         #: Per-event budget for incremental maintenance: when set, a
         #: maintainer refresh that trips it is skipped (the target goes
@@ -102,8 +99,6 @@ class RuleEngine:
         self._on_cycle = on_cycle
         self._compact = compact
         self._operations = operations
-        self._cache_bytes = cache_bytes
-        self._worker_mode = worker_mode
         self.rules: List[DeductiveRule] = []
         self._by_target: Dict[str, List[DeductiveRule]] = {}
         self.stats = EngineStats()
@@ -439,17 +434,17 @@ class RuleEngine:
         finally:
             if sspan is not None:
                 tracer.finish(sspan)
-        # Workers/mode track the live evaluator (the shell's \workers
-        # retargets both at runtime).  The snapshot pins its own compact
-        # store, so any planes the session exports stay valid — and
-        # alive — for exactly as long as the session's queries run;
-        # close() (or the evaluator finalizer) unlinks them.
+        # The cache budget tracks the live evaluator (the shell's
+        # \cache and the service's ``cache_bytes`` retarget it at
+        # runtime).  The cache itself is per session: its entries are
+        # valid only against the snapshot's pinned version vector.
+        live_cache = self.evaluator.result_cache
         processor = QueryProcessor(snapshot, on_cycle=self._on_cycle,
                                    operations=self._operations,
                                    compact=self._compact,
-                                   workers=self.evaluator.workers,
-                                   worker_mode=self.evaluator.worker_mode,
-                                   cache_bytes=self._cache_bytes)
+                                   cache_bytes=(live_cache.max_bytes
+                                                if live_cache.enabled
+                                                else 0))
         deriving: Set[str] = set()
 
         def provide(name: str) -> Optional[Subdatabase]:
@@ -474,13 +469,6 @@ class RuleEngine:
 
         snapshot.provider = provide
         return processor
-
-    def close(self) -> None:
-        """Release shared-memory planes held by this engine's
-        evaluators (idempotent; worker pools are process-global and
-        outlive the engine)."""
-        self.evaluator.close()
-        self.processor.close()
 
     def is_stale(self, name: str) -> bool:
         """Whether the controller currently considers ``name`` stale."""

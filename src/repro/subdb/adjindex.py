@@ -51,8 +51,7 @@ class AdjacencyIndex:
     only ever reference ``tgt`` table members, in ascending order.
     """
 
-    __slots__ = ("src", "tgt", "offsets", "neighbors", "link_key", "token",
-                 "epoch")
+    __slots__ = ("src", "tgt", "offsets", "neighbors", "link_key", "token")
 
     def __init__(self, src: InternTable, tgt: InternTable,
                  rows: Sequence[Sequence[int]],
@@ -74,11 +73,6 @@ class AdjacencyIndex:
         #: Identity-compared validity token (the subdatabase object for
         #: derived-association indexes).
         self.token = token
-        #: In-place mutation counter: INSERT deltas append to the CSR
-        #: arrays without replacing the object, so consumers that cache
-        #: *copies* of the arrays (shared-memory plane exports) compare
-        #: this alongside object identity.
-        self.epoch = 0
 
     def row(self, i: int) -> array:
         """Neighbor ids of source id ``i`` (ascending, may be empty)."""
@@ -86,13 +80,6 @@ class AdjacencyIndex:
 
     def pair_count(self) -> int:
         return len(self.neighbors)
-
-    def plane_arrays(self) -> Dict[str, array]:
-        """The index's frozen *plane* representation — the CSR arrays as
-        named int64 buffers for shared-memory export
-        (:mod:`repro.subdb.planes`).  Exports are copies: later in-place
-        appends bump :attr:`epoch` so cached exports re-snapshot."""
-        return {"offsets": self.offsets, "neighbors": self.neighbors}
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"AdjacencyIndex({self.src.key!r} -> {self.tgt.key!r}, "
@@ -224,7 +211,6 @@ class CompactStore:
             if is_identity and id(index.tgt) in appended:
                 index.neighbors.append(index.tgt.index[oid.value])
             index.offsets.append(len(index.neighbors))
-            index.epoch += 1
             self.indexes_appended += 1
         self.attrs.apply_insert(oid, appended)
 

@@ -377,48 +377,11 @@ class TestBudgetCancellation:
 # ---------------------------------------------------------------------------
 
 
-def _parallel_processor(workers: int = 4) -> QueryProcessor:
-    """A processor over a database big enough to take the partitioned
-    path (the paper DB's extents are below the parallel threshold)."""
-    from repro.university.generator import (GeneratorConfig,
-                                            generate_university)
-    db = generate_university(GeneratorConfig(), seed=13).db
-    processor = QueryProcessor(Universe(db), compact=True,
-                               workers=workers)
-    processor.evaluator.min_parallel_rows = 1
-    return processor
-
-
 class TestTracingConcurrency:
     @pytest.fixture(autouse=True)
     def _no_tracer_leak(self):
         yield
         obs.uninstall()
-
-    def test_one_partition_span_per_partition(self):
-        from tests.test_tracing import all_spans, assert_well_formed
-        processor = _parallel_processor(workers=4)
-        tracer = obs.install()
-        processor.execute("context Student * Section * Course")
-        metrics = processor.evaluator.last_metrics
-        assert metrics.workers_used > 1
-        assert metrics.partitions
-        root = tracer.recorder.get(metrics.trace_id)
-        assert root is not None
-        assert_well_formed(root)
-        partitions = [span for span in all_spans(root)
-                      if span.name == "partition"]
-        # One span per partition record, indexes 0..K-1 exactly once,
-        # every one a descendant of the query root (reachable via
-        # root.walk() — cross-thread stitching worked).
-        assert len(partitions) == len(metrics.partitions)
-        assert sorted(span.attrs["partition"] for span in partitions) \
-            == list(range(len(partitions)))
-        by_index = {span.attrs["partition"]: span for span in partitions}
-        for record in metrics.partitions:
-            span = by_index[record["partition"]]
-            assert span.counters["anchor_rows"] == record["anchor_rows"]
-            assert span.counters.get("rows_out", 0) == record["rows_out"]
 
     def test_traces_well_formed_under_reader_writer_stress(self):
         from tests.test_tracing import assert_well_formed
@@ -472,38 +435,25 @@ class TestTracingConcurrency:
             assert_well_formed(root)
 
 
-class TestPartitionMetrics:
+class TestPerQueryMetrics:
     """Regression: ``EvaluationMetrics`` used to be reused across nested
     and successive evaluations, so a provider-driven cascade (or simply
-    re-running a query on a reused evaluator) appended partition and
-    plan records onto the previous query's metrics."""
-
-    def test_partitions_not_accumulated_across_queries(self):
-        processor = _parallel_processor(workers=4)
-        processor.execute("context Student * Section * Course")
-        first = processor.evaluator.last_metrics
-        assert first.partitions
-        processor.execute("context Student * Section * Course")
-        second = processor.evaluator.last_metrics
-        assert second is not first
-        assert len(second.partitions) == len(first.partitions)
-        assert sorted(p["partition"] for p in second.partitions) \
-            == list(range(len(second.partitions)))
+    re-running a query on a reused evaluator) appended plan records onto
+    the previous query's metrics."""
 
     def test_cascade_derivation_metrics_are_per_query(self):
         from repro.university.generator import (GeneratorConfig,
                                                 generate_university)
         db = generate_university(GeneratorConfig(), seed=13).db
-        engine = RuleEngine(db, compact=True, workers=4)
-        engine.evaluator.min_parallel_rows = 1
+        engine = RuleEngine(db, compact=True)
         engine.add_rule("if context Student * Section "
                         "then Enrolled (Student, Section)")
         engine.add_rule("if context Enrolled:Section * Course "
                         "then Offered (Section, Course)")
         result = engine.query("context Offered:Section * Course")
-        metrics = result.metrics
-        # The outer query's record only: each partition index at most
-        # once, not the concatenation of every nested evaluation.
-        assert sorted(p["partition"] for p in metrics.partitions) \
-            == list(range(len(metrics.partitions)))
-        assert len(metrics.plans) <= 2
+        # The outer query's record only, not the concatenation of every
+        # nested evaluation's plans.
+        assert len(result.metrics.plans) <= 2
+        again = engine.query("context Offered:Section * Course")
+        assert again.metrics is not result.metrics
+        assert len(again.metrics.plans) == len(result.metrics.plans)

@@ -128,6 +128,20 @@ class TestEndpoints:
         assert result["subdatabase"]["slots"] == ["Teacher", "Section"]
         assert result["metrics"]
 
+    def test_served_reads_use_the_result_cache(self, tmp_path):
+        """``cache_bytes`` reaches the per-connection snapshot session:
+        the second identical query on one connection is a cache hit."""
+        config = ServiceConfig(data_dir=str(tmp_path), cache_bytes=1 << 20)
+        with QueryService(_paper_engine(), config) as service:
+            with ServiceClient(*service.address, timeout=30) as c:
+                text = "context Teacher * Section * Course"
+                first = c.query(text, include=["metrics"])
+                second = c.query(text, include=["metrics"])
+        assert first["metrics"]["cache_hits"] == 0
+        assert first["metrics"]["cache_misses"] == 1
+        assert second["metrics"]["cache_hits"] == 1
+        assert second["patterns"] == first["patterns"]
+
     def test_query_backward_chains_rule_target(self, client):
         result = client.query(
             "context Teacher_course:Teacher * Teacher_course:Course")
@@ -267,7 +281,6 @@ class TestEndpoints:
         assert server["ops"]["ping"] >= 1
         assert "engine" in stats and "db" in stats
         assert stats["rules"]  # the paper rules
-        assert stats["workers"]["mode"] in ("thread", "process")
         assert "cache" in stats
 
     def test_unknown_op(self, client):
